@@ -25,7 +25,7 @@
 // hierarchy exists so that any future nesting some PR introduces is forced
 // into one deadlock-free direction and mechanically verified.
 //
-//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Server.clientMu < Server.copyMu < Server.snapMu < txShard.mu < catalog.mu < VersionStore.mu < Log.mu
+//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Server.clientMu < Server.copyMu < Server.snapMu < txShard.mu < catalog.mu < asOfIndex.mu < VersionStore.mu < Log.mu
 package server
 
 import "bess/internal/lockcheck"
@@ -41,7 +41,10 @@ import "bess/internal/lockcheck"
 // Server.snapMu sits outside the tx shards (Disconnect closes a client's
 // snapshots before aborting its transactions), and VersionStore.mu sits
 // innermost but for Log.mu — commit hooks publish staged versions while
-// the committing transaction still holds everything else.
+// the committing transaction still holds everything else. asOfIndex.mu
+// sits between the catalog and the version store: reconstruction and the
+// commit path take it alone, and under it only the tx manager's unranked
+// clock mutex.
 const (
 	rankAreaMu   lockcheck.Rank = 10
 	rankClientMu lockcheck.Rank = 20
@@ -49,4 +52,5 @@ const (
 	rankSnapMu   lockcheck.Rank = 35
 	rankTxShard  lockcheck.Rank = 40
 	rankCatalog  lockcheck.Rank = 50
+	rankAsOfMu   lockcheck.Rank = 52
 )

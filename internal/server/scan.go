@@ -7,7 +7,6 @@ import (
 
 	"bess/internal/goleak"
 	"bess/internal/lockcheck"
-	"bess/internal/page"
 	"bess/internal/proto"
 	"bess/internal/rpc"
 )
@@ -50,8 +49,7 @@ type scanCursor struct {
 	client uint32
 	batch  int
 	plan   []proto.ScanSeg
-	snap   bool     // read as of asOf instead of the live images
-	asOf   page.LSN // snapshot stamp (snap only)
+	snap   *snapEntry // non-nil: read as of this snapshot instead of the live images
 
 	mu        lockcheck.Mutex
 	cond      *sync.Cond
@@ -60,8 +58,8 @@ type scanCursor struct {
 	cancelled bool  // guarded by mu
 }
 
-func newScanCursor(id uint64, client uint32, batch int, plan []proto.ScanSeg, snap bool, asOf page.LSN) *scanCursor {
-	c := &scanCursor{id: id, client: client, batch: batch, plan: plan, snap: snap, asOf: asOf}
+func newScanCursor(id uint64, client uint32, batch int, plan []proto.ScanSeg, snap *snapEntry) *scanCursor {
+	c := &scanCursor{id: id, client: client, batch: batch, plan: plan, snap: snap}
 	c.mu.Init("scanCursor.mu", 0) // unranked: never held across other locks
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -125,11 +123,11 @@ func newScanTable() *scanTable {
 	return t
 }
 
-func (t *scanTable) add(client uint32, batch int, plan []proto.ScanSeg, snap bool, asOf page.LSN) *scanCursor {
+func (t *scanTable) add(client uint32, batch int, plan []proto.ScanSeg, snap *snapEntry) *scanCursor {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next++
-	c := newScanCursor(t.next, client, batch, plan, snap, asOf)
+	c := newScanCursor(t.next, client, batch, plan, snap)
 	t.scans[c.id] = c
 	return c
 }
@@ -165,7 +163,7 @@ func serveScan(s *Server, p *rpc.Peer) {
 	table := newScanTable()
 	p.SetOnClose(func(error) { table.cancelAll() })
 
-	start := func(client, db, fileID, batch uint32, snap bool, asOf page.LSN) ([]byte, error) {
+	start := func(client, db, fileID, batch uint32, snap *snapEntry) ([]byte, error) {
 		b := int(batch)
 		if b <= 0 {
 			b = defaultScanBatch
@@ -188,7 +186,7 @@ func serveScan(s *Server, p *rpc.Peer) {
 			}
 			plan = append(plan, proto.ScanSeg{Seg: k, SlottedPages: uint32(n)})
 		}
-		c := table.add(client, b, plan, snap, asOf)
+		c := table.add(client, b, plan, snap)
 		goleak.Go("server.runScan", func() { s.runScan(p, table, c) })
 		return proto.AppendScanStartReply(nil, c.id, plan), nil
 	}
@@ -198,7 +196,7 @@ func serveScan(s *Server, p *rpc.Peer) {
 		if err != nil {
 			return nil, err
 		}
-		return start(client, db, fileID, batch, false, 0)
+		return start(client, db, fileID, batch, nil)
 	})
 
 	// SnapScanStart opens the same push cursor, but every image the cursor
@@ -209,11 +207,11 @@ func serveScan(s *Server, p *rpc.Peer) {
 		if err != nil {
 			return nil, err
 		}
-		stamp, err := s.snapStamp(snap)
+		e, err := s.snapEntryOf(snap)
 		if err != nil {
 			return nil, err
 		}
-		return start(client, db, fileID, batch, true, stamp)
+		return start(client, db, fileID, batch, e)
 	})
 
 	p.HandleStream("ScanCtl", func(stream uint64, body []byte) {
@@ -283,10 +281,10 @@ func (s *Server) runScan(p *rpc.Peer, t *scanTable, c *scanCursor) {
 		}
 		var sl, ov, data []byte
 		var err error
-		if c.snap {
+		if c.snap != nil {
 			// As-of fetch: no locks, no copy-table registration, so the
 			// pushed images never join the callback protocol.
-			sl, ov, data, err = s.readAsOf(e.Seg, c.asOf)
+			sl, ov, data, err = s.readAsOf(e.Seg, c.snap)
 		} else {
 			//bess:lockfree ignore=live-scan branch: FetchSeg takes the usual short read locks and copy-table registration by design; the snap branch stays lock-free
 			sl, ov, data, err = s.FetchSeg(c.client, e.Seg)

@@ -157,7 +157,7 @@ func TestRunScanSkipsVanishedSegment(t *testing.T) {
 		{Seg: real1, SlottedPages: 1},
 		{Seg: phantom, SlottedPages: 1},
 		{Seg: real2, SlottedPages: 1},
-	}, false, 0)
+	}, nil)
 	c.grant(false, 1<<20)
 	go s.runScan(sEnd, table, c)
 
@@ -215,7 +215,7 @@ func TestScanCancelReleasesCursorGoroutines(t *testing.T) {
 	// One byte of credit: the overdraw escape lets the first batch out,
 	// then the sender parks in waitCredit with the window deep in debt.
 	table := newScanTable()
-	c := table.add(1, 1, plan, false, 0)
+	c := table.add(1, 1, plan, nil)
 	c.grant(false, 1)
 	go s.runScan(sEnd, table, c)
 

@@ -68,6 +68,7 @@ type Stats struct {
 	CallbackRefusals int64
 	PagesWritten     int64
 	SnapFetches      int64 // as-of segment fetches served to snapshots
+	AsOfRecordsRead  int64 // WAL records read by as-of reconstruction
 
 	// WAL counters (group commit, experiment E11): Syncs stays far below
 	// Commits under concurrency because committers share fsyncs.
@@ -102,11 +103,16 @@ type Server struct {
 
 	// The snapshot registry is copy-on-write: writers (open/close, rare)
 	// mutate the map under snapMu and publish an immutable copy to
-	// snapView; readers (snapStamp, on every SnapFetchSeg) load the view
+	// snapView; readers (snapEntryOf, on every SnapFetchSeg) load the view
 	// with no lock at all — the snapshot read path must stay lock-free.
+	// born is published the same way: segments created while a snapshot
+	// was open, each with the id of the newest snapshot opened before it.
 	snapMu    lockcheck.Mutex
-	snapshots map[uint64]*snapEntry                 // guarded by snapMu
-	snapView  atomic.Pointer[map[uint64]*snapEntry] // immutable published copy
+	snapshots map[uint64]*snapEntry                   // guarded by snapMu
+	lastSnap  uint64                                  // guarded by snapMu; newest snapshot id issued
+	born      map[proto.SegKey]uint64                 // guarded by snapMu
+	snapView  atomic.Pointer[map[uint64]*snapEntry]   // immutable published copy
+	bornView  atomic.Pointer[map[proto.SegKey]uint64] // immutable published copy
 
 	txs txTable
 
@@ -139,6 +145,7 @@ type Server struct {
 	locks *lock.Manager
 	txm   *tx.Manager
 	vs    *cache.VersionStore
+	asof  *asOfIndex
 	hk    *hooks.Registry
 
 	nextTx atomic.Uint64
@@ -146,7 +153,7 @@ type Server struct {
 	stats struct {
 		messages, slottedFetches, dataFetches, largeFetches atomic.Int64
 		commits, aborts, callbacks, refusals, pagesWritten  atomic.Int64
-		snapFetches                                         atomic.Int64
+		snapFetches, asOfRecords                            atomic.Int64
 	}
 
 	// CallbackTimeout bounds revocation waits (paper: timeouts detect
@@ -195,18 +202,14 @@ func OpenMedia(m Media, host uint16) (*Server, error) {
 	s.log = log
 	s.media = &m
 	// Rebind the managers to the real log (open("") wired a throwaway
-	// in-memory one), and the version store to the new tx manager.
+	// in-memory one), and the as-of sources to the new tx manager.
 	s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
-	s.vs = cache.NewVersionStore(s.txm.OldestSnapshot)
-	s.txm.SetCommitHook(s.vs.CommitTx)
-	s.txm.SetAbortHook(s.vs.AbortTx)
-	if nl := s.log.NextLSN(); nl > 0 {
-		s.txm.SeedCommitStamp(nl - 1)
-	}
+	s.wireVersions()
 	return s, nil
 }
 
 func open(dir string, host uint16) (*Server, error) {
+	var inDoubt map[uint64]page.LSN // prepared branches restart recovery adopted
 	s := &Server{
 		host:            host,
 		dir:             dir,
@@ -255,24 +258,54 @@ func open(dir string, host uint16) (*Server, error) {
 		for _, id := range st.InDoubt {
 			s.txs.put(id, s.txm.AdoptPrepared(id, st.InDoubtLast[id]), 0)
 		}
+		inDoubt = st.InDoubtLast
 	}
 	if s.txm == nil {
 		s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
 	}
-	// Multiversion reads (DESIGN.md §7): the version store retains
-	// superseded segment images while snapshots are open, fed by the tx
-	// commit/abort hooks and trimmed at the oldest-snapshot watermark. The
-	// version clock restarts above every pre-crash commit.
 	s.snapMu.Init("Server.snapMu", rankSnapMu)
 	s.snapshots = make(map[uint64]*snapEntry)
-	s.vs = cache.NewVersionStore(s.txm.OldestSnapshot)
-	s.txm.SetCommitHook(s.vs.CommitTx)
-	s.txm.SetAbortHook(s.vs.AbortTx)
-	if nl := s.log.NextLSN(); nl > 0 {
-		s.txm.SeedCommitStamp(nl - 1)
+	s.born = make(map[proto.SegKey]uint64)
+	s.wireVersions()
+	// Adopted in-doubt branches keep their after-images on disk until the
+	// decision: snapshots must reconstruct past them.
+	if err := s.asof.reindexPrepared(s.log, inDoubt); err != nil {
+		return nil, fmt.Errorf("server: re-index in-doubt updates: %w", err)
 	}
 	s.nextTx.Store(uint64(host)<<48 | 1)
 	return s, nil
+}
+
+// wireVersions attaches the as-of sources (DESIGN.md §7) to the current tx
+// manager: the version store, which retains superseded segment images
+// while snapshots are open and is trimmed at the oldest-snapshot
+// watermark, and the as-of index over the WAL. Both are fed by the commit
+// and abort hooks. The version clock restarts above every logged commit.
+func (s *Server) wireVersions() {
+	if s.vs != nil {
+		s.vs.Close() // the throwaway store OpenMedia replaces
+	}
+	s.vs = cache.NewVersionStore(s.txm.OldestSnapshot)
+	s.asof = newAsOfIndex(s.txm)
+	s.txm.SetCommitHook(s.onCommit)
+	s.txm.SetAbortHook(s.onAbort)
+	if nl := s.log.NextLSN(); nl > 0 {
+		s.txm.SeedCommitStamp(nl - 1)
+	}
+}
+
+// onCommit publishes txID's commit at lsn to both as-of sources. It runs
+// from the tx commit hook, before the writer's locks release.
+func (s *Server) onCommit(txID uint64, lsn page.LSN) {
+	s.vs.CommitTx(txID, lsn)
+	s.asof.committed(txID, lsn)
+}
+
+// onAbort retires txID from both as-of sources once its undo is done (or
+// its commit failed). The log tail marks when the rollback finished.
+func (s *Server) onAbort(txID uint64) {
+	s.vs.AbortTx(txID)
+	s.asof.rolledBack(txID, s.log.NextLSN())
 }
 
 func (s *Server) areaPath(id uint32) string {
@@ -307,6 +340,7 @@ func (s *Server) Snapshot() Stats {
 		CallbackRefusals: s.stats.refusals.Load(),
 		PagesWritten:     s.stats.pagesWritten.Load(),
 		SnapFetches:      s.stats.snapFetches.Load(),
+		AsOfRecordsRead:  s.stats.asOfRecords.Load(),
 
 		WALAppends:        ls.Appends,
 		WALFlushes:        ls.Flushes,
@@ -571,6 +605,9 @@ func (s *Server) CreateSegment(db uint32, fileID uint32, slottedPages, dataPages
 		}
 	}
 	key := proto.SegKey{Area: aid, Start: int64(slStart)}
+	// The initial images are not logged: snapshots opened before this point
+	// must not see the segment at all (its pages may be a freed run's).
+	s.noteCreated(key)
 	if err := s.cat.addSegment(m, &segMeta{Seg: key, FileID: fileID, SlottedPages: slottedPages}); err != nil {
 		return proto.SegKey{}, err
 	}
@@ -1084,9 +1121,11 @@ func (s *Server) logAndApply(t *tx.Tx, areaID uint32, start page.No, data []byte
 		if string(before[:len(after)]) == string(after) {
 			continue
 		}
-		if _, err := t.LogUpdate(pid, 0, before[:len(after)], after); err != nil {
+		lsn, err := t.LogUpdate(pid, 0, before[:len(after)], after)
+		if err != nil {
 			return err
 		}
+		s.asof.add(t.ID(), pid, lsn)
 		full := before
 		copy(full, after)
 		if err := s.WritePage(pid, full); err != nil {
@@ -1125,9 +1164,9 @@ func (s *Server) Commit(client uint32, txid uint64, segs []proto.SegImage) error
 	}
 	if err := t.Commit(); err != nil {
 		// The branch is dead either way: drop it so the txid does not leak
-		// in the active table, and unstage its version-store entries so
+		// in the active table, and retire it from the as-of sources so
 		// snapshot reads do not wait on a commit that will never publish.
-		s.vs.AbortTx(txid)
+		s.onAbort(txid)
 		s.forgetTx(txid)
 		return err
 	}

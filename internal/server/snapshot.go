@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 
 	"bess/internal/cache"
 	"bess/internal/lock"
@@ -33,22 +34,45 @@ func vkeyOf(seg proto.SegKey) cache.VKey {
 //
 //bess:holds snapMu
 func (s *Server) publishSnapsLocked() {
-	view := make(map[uint64]*snapEntry, len(s.snapshots))
-	for id, e := range s.snapshots {
-		view[id] = e
-	}
+	view := maps.Clone(s.snapshots)
 	s.snapView.Store(&view)
 }
 
+// publishBornLocked publishes a copy of the creation records the same way.
+//
+//bess:holds snapMu
+func (s *Server) publishBornLocked() {
+	view := maps.Clone(s.born)
+	s.bornView.Store(&view)
+}
+
+// noteCreated records that seg was created after every snapshot opened so
+// far. CreateSegment writes its initial pages without logging, so neither
+// the version chains nor the WAL can tell an older snapshot the segment
+// did not exist yet; this record does. Stamps cannot order the two — no
+// commit need fall between a snapshot and a creation — so the record holds
+// the newest snapshot id issued instead. Nothing is recorded while no
+// snapshot is open: every later snapshot postdates the segment.
+func (s *Server) noteCreated(seg proto.SegKey) {
+	s.snapMu.Lock()
+	if len(s.snapshots) > 0 {
+		s.born[seg] = s.lastSnap
+		s.publishBornLocked()
+	}
+	s.snapMu.Unlock()
+}
+
 // SnapOpen implements proto.Conn: open a read-only snapshot at the current
-// commit stamp.
+// commit stamp. The snapshot begins under snapMu so its id orders it
+// against segment creations (noteCreated).
 func (s *Server) SnapOpen(client uint32) (uint64, uint64, error) {
 	s.stats.messages.Add(1)
 	if s.closed.Load() {
 		return 0, 0, ErrShutdown
 	}
-	sn := s.txm.BeginSnapshot()
 	s.snapMu.Lock()
+	sn := s.txm.BeginSnapshot()
+	s.lastSnap = sn.ID()
 	s.snapshots[sn.ID()] = &snapEntry{snap: sn, client: client}
 	s.publishSnapsLocked()
 	s.snapMu.Unlock()
@@ -61,29 +85,15 @@ func (s *Server) SnapClose(client uint32, snap uint64) error {
 	s.stats.messages.Add(1)
 	s.snapMu.Lock()
 	e := s.snapshots[snap]
-	delete(s.snapshots, snap)
-	s.publishSnapsLocked()
+	if e != nil {
+		delete(s.snapshots, snap)
+		s.retireSnapsLocked()
+	}
 	s.snapMu.Unlock()
 	if e != nil {
-		e.snap.Close()
-		s.vs.Trim()
+		s.releaseSnaps([]*snapEntry{e})
 	}
 	return nil
-}
-
-// snapStamp resolves a snapshot id to its stamp. Lock-free: it runs on
-// every snapshot fetch, so it reads the published copy-on-write view
-// instead of taking snapMu (bess-vet's lockfree analyzer holds this path
-// to zero lock acquisitions).
-func (s *Server) snapStamp(snap uint64) (page.LSN, error) {
-	var e *snapEntry
-	if view := s.snapView.Load(); view != nil {
-		e = (*view)[snap]
-	}
-	if e == nil {
-		return 0, fmt.Errorf("server: unknown snapshot %d", snap)
-	}
-	return e.snap.Stamp(), nil
 }
 
 // closeClientSnaps releases every snapshot a disconnecting client left open.
@@ -97,15 +107,61 @@ func (s *Server) closeClientSnaps(client uint32) {
 		}
 	}
 	if len(doomed) > 0 {
-		s.publishSnapsLocked()
+		s.retireSnapsLocked()
 	}
 	s.snapMu.Unlock()
+	if len(doomed) > 0 {
+		s.releaseSnaps(doomed)
+	}
+}
+
+// retireSnapsLocked republishes the registry after snapshots left it and
+// drops the creation records no open snapshot predates.
+//
+//bess:holds snapMu
+func (s *Server) retireSnapsLocked() {
+	s.publishSnapsLocked()
+	oldest := s.lastSnap + 1
+	for id := range s.snapshots {
+		if id < oldest {
+			oldest = id
+		}
+	}
+	dropped := false
+	for k, id := range s.born {
+		if id < oldest {
+			delete(s.born, k)
+			dropped = true
+		}
+	}
+	if dropped {
+		s.publishBornLocked()
+	}
+}
+
+// releaseSnaps unpins closed snapshots and trims what only they retained:
+// chain versions and as-of index entries.
+func (s *Server) releaseSnaps(doomed []*snapEntry) {
 	for _, e := range doomed {
 		e.snap.Close()
 	}
-	if len(doomed) > 0 && s.vs != nil {
-		s.vs.Trim()
+	s.vs.Trim()
+	s.asof.sweep()
+}
+
+// snapEntryOf resolves a snapshot id. Lock-free: it runs on every snapshot
+// fetch, so it reads the published copy-on-write view instead of taking
+// snapMu (bess-vet's lockfree analyzer holds this path to zero lock
+// acquisitions).
+func (s *Server) snapEntryOf(snap uint64) (*snapEntry, error) {
+	var e *snapEntry
+	if view := s.snapView.Load(); view != nil {
+		e = (*view)[snap]
 	}
+	if e == nil {
+		return nil, fmt.Errorf("server: unknown snapshot %d", snap)
+	}
+	return e, nil
 }
 
 // SnapFetchSeg implements proto.Conn: the segment's image as of the
@@ -118,22 +174,29 @@ func (s *Server) closeClientSnaps(client uint32) {
 //bess:lockfree
 func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]byte, []byte, []byte, error) {
 	s.stats.messages.Add(1)
-	t, err := s.snapStamp(snap)
+	e, err := s.snapEntryOf(snap)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return s.readAsOf(seg, t)
+	return s.readAsOf(seg, e)
 }
 
-// readAsOf serves seg's image as of stamp t: a retained chain version, the
-// current disk image when the segment is unchanged since t (verified
-// against concurrent overwrites), or a WAL undo reconstruction. On the hot
-// outcomes it allocates nothing: chain images are served as-is and the
-// disk read reuses the fetch path's buffers.
+// readAsOf serves seg's image as of snapshot e: ErrNoSegment when seg was
+// created after e opened, else a retained chain version, the current disk
+// image when the segment is unchanged since e's stamp (verified against
+// concurrent overwrites), or a WAL reconstruction. On the hot outcomes it
+// allocates nothing: chain images are served as-is and the disk read
+// reuses the fetch path's buffers.
 //
 //bess:hotpath
-func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte, error) {
+func (s *Server) readAsOf(seg proto.SegKey, e *snapEntry) ([]byte, []byte, []byte, error) {
 	s.stats.snapFetches.Add(1)
+	if born := s.bornView.Load(); born != nil {
+		if id, ok := (*born)[seg]; ok && e.snap.ID() <= id {
+			return nil, nil, nil, ErrNoSegment
+		}
+	}
+	t := e.snap.Stamp()
 	key := vkeyOf(seg)
 	for {
 		//bess:lockfree ignore=version-store latch only: AsOf pins a chain entry under VersionStore.mu, never the lock manager; it blocks only on a committing writer's page-copy window
@@ -141,7 +204,7 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 		if err != nil {
 			// Chain trimmed (or version never captured): rebuild from WAL
 			// before-images.
-			//bess:lockfree ignore=WAL fallback for trimmed chains: reconstruction reads the catalog and log under their latches, off the hot chain and disk paths
+			//bess:lockfree ignore=WAL fallback for trimmed chains: each page lookup takes asOfIndex.mu alone (plus the catalog and area page latches); one log record is read per reconstructed page, outside any latch
 			return s.reconstructAsOf(seg, t)
 		}
 		if v != nil {
@@ -175,142 +238,76 @@ func (s *Server) readAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte,
 	}
 }
 
-// reconstructAsOf rebuilds seg's image at stamp t from the WAL: the as-of
-// content of a page is the before-image of its earliest update by a
-// transaction that committed after t (or never committed); pages with no
-// such update still hold their as-of content on disk. Updates are logged as
-// full-page images (logAndApply), so reconstruction is exact. Pages are
-// read before the log is scanned — any write that could have raced the read
-// appended its record first (WAL rule), so the scan always sees it.
-//
-// Known limitation: CreateSegment initializes pages without logging, so an
-// as-of image whose pages were since freed and handed to a new segment
-// reconstructs to that segment's initial state. Snapshot workloads that
-// drop and reallocate whole segments should not outlive the version chain.
+// reconstructAsOf rebuilds seg's image at stamp t from the WAL. Each page
+// of the slotted, data and overflow runs is read, then looked up in the
+// as-of index; a page with an as-of before-image gets it from exactly one
+// log record, and every other page already holds its as-of content.
+// Updates are logged as full-page images (logAndApply), so reconstruction
+// is exact. Reading the page before the lookup is what makes it safe
+// against a concurrent writer: the writer indexed its record before
+// writing the page, so whatever the read saw is covered.
 func (s *Server) reconstructAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte, error) {
 	sm, _, ok := s.cat.segMetaOf(seg)
 	if !ok {
 		return nil, nil, nil, ErrNoSegment
 	}
-	a := s.lookupArea(seg.Area)
-	if a == nil {
-		return nil, nil, nil, ErrNoArea
-	}
-
 	// Slotted section first: its reconstructed header names the data and
 	// overflow runs as of t.
-	sl := make([]byte, sm.SlottedPages*page.Size)
-	for i := 0; i < sm.SlottedPages; i++ {
-		pid := page.ID{Area: page.AreaID(seg.Area), Page: page.No(seg.Start) + page.No(i)}
-		if err := s.ReadPage(pid, sl[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	befores, err := s.asOfBefores(t)
+	sl, err := s.runAsOf(page.AreaID(seg.Area), page.No(seg.Start), sm.SlottedPages, t)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	overlayAsOf(befores, page.AreaID(seg.Area), page.No(seg.Start), sl)
 	dec, err := segment.DecodeSlotted(sl)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: no image at stamp %d", ErrNoSegment, t)
 	}
-
-	// Data and overflow at the reconstructed geometry. Pages again read
-	// before a fresh scan; the rescan may only add before-images for pages
-	// the first scan had none for, so the slotted geometry stays valid.
-	data := make([]byte, int(dec.Hdr.DataPages)*page.Size)
-	for i := 0; i < int(dec.Hdr.DataPages); i++ {
-		pid := page.ID{Area: dec.Hdr.DataArea, Page: dec.Hdr.DataStart + page.No(i)}
-		if err := s.ReadPage(pid, data[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	var over []byte
-	if dec.Hdr.OverPages > 0 {
-		over = make([]byte, int(dec.Hdr.OverPages)*page.Size)
-		for i := 0; i < int(dec.Hdr.OverPages); i++ {
-			pid := page.ID{Area: dec.Hdr.OverArea, Page: dec.Hdr.OverStart + page.No(i)}
-			if err := s.ReadPage(pid, over[i*page.Size:(i+1)*page.Size]); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	}
-	befores, err = s.asOfBefores(t)
+	data, err := s.runAsOf(dec.Hdr.DataArea, dec.Hdr.DataStart, int(dec.Hdr.DataPages), t)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	overlayAsOf(befores, dec.Hdr.DataArea, dec.Hdr.DataStart, data)
-	if over != nil {
-		overlayAsOf(befores, dec.Hdr.OverArea, dec.Hdr.OverStart, over)
+	var over []byte
+	if dec.Hdr.OverPages > 0 {
+		if over, err = s.runAsOf(dec.Hdr.OverArea, dec.Hdr.OverStart, int(dec.Hdr.OverPages), t); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	return sl, over, data, nil
 }
 
-// asOfBefores scans the durable log and returns, per page, the before-image
-// of its earliest update whose transaction committed after t or has no
-// commit record — exactly the content the page held at stamp t. The log is
-// flushed first so records for every page write that already reached an
-// area are visible to the scan.
-func (s *Server) asOfBefores(t page.LSN) (map[page.ID][]byte, error) {
-	if err := s.log.Flush(s.log.NextLSN()); err != nil {
-		return nil, err
-	}
-	commit := make(map[uint64]page.LSN)
-	if err := s.log.Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
-		if rec.Type == wal.TCommit {
-			commit[rec.Tx] = lsn
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	befores := make(map[page.ID][]byte)
-	if err := s.log.Iterate(wal.FirstLSN(), func(lsn page.LSN, rec *wal.Record) error {
-		if rec.Type != wal.TUpdate {
-			return nil
-		}
-		if cl, done := commit[rec.Tx]; done && cl <= t {
-			// Part of the as-of state: its After supersedes anything an
-			// earlier rolled-back writer left in the map. The as-of image is
-			// now this update's After — the Before of the next undone write,
-			// or the disk content if none follows (aborted writers in
-			// between net out through their CLRs).
-			delete(befores, rec.Page)
-			return nil
-		}
-		if _, seen := befores[rec.Page]; seen {
-			return nil // an earlier undone update already fixed this page's as-of image
-		}
-		if rec.Off != 0 {
-			return fmt.Errorf("server: as-of reconstruction: partial update at %d (off %d)", lsn, rec.Off)
-		}
-		befores[rec.Page] = append([]byte(nil), rec.Before...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return befores, nil
-}
-
-// overlayAsOf replaces pages of buf (a run starting at area/start) that have
-// an as-of before-image.
-func overlayAsOf(befores map[page.ID][]byte, areaID page.AreaID, start page.No, buf []byte) {
-	n := (len(buf) + page.Size - 1) / page.Size
+// runAsOf returns the n-page run at area/start as of stamp t: all pages are
+// read first, then each page with an as-of before-image is replaced by it.
+func (s *Server) runAsOf(areaID page.AreaID, start page.No, n int, t page.LSN) ([]byte, error) {
+	buf := make([]byte, n*page.Size)
 	for i := 0; i < n; i++ {
-		b, ok := befores[page.ID{Area: areaID, Page: start + page.No(i)}]
+		if err := s.ReadPage(page.ID{Area: areaID, Page: start + page.No(i)}, buf[i*page.Size:(i+1)*page.Size]); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < n; i++ {
+		pid := page.ID{Area: areaID, Page: start + page.No(i)}
+		lsn, ok := s.asof.lookup(pid, t)
 		if !ok {
 			continue
 		}
-		end := (i + 1) * page.Size
-		if end > len(buf) {
-			end = len(buf)
+		// The record may still sit in the log buffer (an in-flight
+		// writer's update); force through it so ReadRecord sees it.
+		if err := s.log.Flush(lsn); err != nil {
+			return nil, err
 		}
-		dst := buf[i*page.Size : end]
-		for j := copy(dst, b); j < len(dst); j++ {
+		rec, err := s.log.ReadRecord(lsn)
+		if err != nil {
+			return nil, err
+		}
+		s.stats.asOfRecords.Add(1)
+		if rec.Type != wal.TUpdate || rec.Page != pid || rec.Off != 0 {
+			return nil, fmt.Errorf("server: as-of reconstruction: record at %d is not a full-page update of %v", lsn, pid)
+		}
+		dst := buf[i*page.Size : (i+1)*page.Size]
+		for j := copy(dst, rec.Before); j < len(dst); j++ {
 			dst[j] = 0
 		}
 	}
+	return buf, nil
 }
 
 // VersionStats exposes the version store's counters (tests, benches).
