@@ -18,8 +18,8 @@ import (
 // two things: it suppresses findings on that line and it prunes the walk
 // into that callee — the right shape for branches that are legitimately
 // locked (the pull path of a shared scan loop) and for short in-memory
-// critical sections that are part of the design (the version store's
-// chain mutex, flow-control credit counters). Interface and closure-value
+// critical sections that are part of the design (the as-of index mutex,
+// flow-control credit counters). Interface and closure-value
 // calls are not resolved; the E16 lock-stats delta assertion covers those
 // edges at runtime.
 type lockfreeAnalysis struct {

@@ -26,11 +26,12 @@
 //     spawned goroutine.
 //   - walorder: in //bess:walorder packages, every page-store sink (a call
 //     to a //bess:walsink function) must be dominated by a wal Append on
-//     the same path, declared capture=/mutate= pairs must stage a
-//     pre-update image before overwriting, and LSN chains must stay
-//     monotone (no stale PrevLSN after a newer Append).
+//     the same path, declared capture=/mutate= pairs must call the capture
+//     before the mutation (the as-of index insert before the page store),
+//     and LSN chains must stay monotone (no stale PrevLSN after a newer
+//     Append).
 //   - lockfree: interprocedural taint from //bess:lockfree roots (snapshot
-//     fetch, snapshot scans, version-chain readers): any reachable
+//     fetch, snapshot scans): any reachable
 //     Lock/RLock or lock-manager Acquire is a finding unless waived with
 //     //bess:lockfree ignore=<reason>.
 //   - hotalloc: per-op heap allocations in //bess:hotpath functions (make,

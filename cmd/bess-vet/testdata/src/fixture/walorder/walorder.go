@@ -6,6 +6,8 @@
 //bess:walsink Pager.WritePage
 //bess:walsink Cache.StorePage
 //bess:walorder capture=Store.Stage mutate=DB.apply
+//bess:walsink Area.Put
+//bess:walorder capture=Index.add mutate=Area.Put
 package walorder
 
 // LSN mirrors page.LSN.
@@ -37,11 +39,23 @@ type Cache struct{ n int }
 // StorePage stores one page image.
 func (c *Cache) StorePage(p int, b []byte) { c.n++ }
 
-// Store mirrors the version store: Stage captures the pre-update image.
+// Store is a capture side: Stage records an overwrite before it begins.
 type Store struct{ staged int }
 
 // Stage records an in-flight overwrite.
 func (s *Store) Stage(p int) { s.staged++ }
+
+// Area is a sink that is also a mutate side: every Put must follow an
+// Index.add of the record it applies.
+type Area struct{ n int }
+
+// Put stores one page image.
+func (a *Area) Put(p int, b []byte) { a.n++ }
+
+// Index mirrors the server's as-of index: add records an update's LSN.
+type Index struct{ n int }
+
+func (ix *Index) add(p int, lsn LSN) { ix.n++ }
 
 // DB ties the pieces together.
 type DB struct {
@@ -49,6 +63,8 @@ type DB struct {
 	c   Cache
 	st  Store
 	pg  Pager
+	ar  Area
+	ix  Index
 }
 
 // LogThenWrite follows the rule: append first, then store.
@@ -110,6 +126,21 @@ func (d *DB) StagedUpdate(p int, img []byte) {
 // a torn image.
 func (d *DB) UnstagedUpdate(p int, img []byte) {
 	d.apply(p, img) // want walorder
+}
+
+// IndexedPut logs, indexes, then stores: fine.
+func (d *DB) IndexedPut(p int, img []byte) {
+	lsn := d.logUpdate(10)
+	d.ix.add(p, lsn)
+	d.ar.Put(p, img)
+}
+
+// PutBeforeIndex stores the logged page before indexing its record: a
+// reader between the two sees the new page with nothing to undo it.
+func (d *DB) PutBeforeIndex(p int, img []byte) {
+	lsn := d.logUpdate(11)
+	d.ar.Put(p, img) // want walorder
+	d.ix.add(p, lsn)
 }
 
 // Chain reassigns the chain head after every append: monotone, fine.

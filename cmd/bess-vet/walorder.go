@@ -20,8 +20,9 @@ import (
 //  2. Capture-before-mutate: for each declared
 //     //bess:walorder capture=T.M mutate=T.M pair, every call to the
 //     mutate function must be preceded, in the same function, by a call to
-//     the capture function — the pre-update image must be staged for open
-//     snapshots before the first page of the new image lands.
+//     the capture function. The server pairs its as-of index insert with
+//     the page store: a snapshot that reads the new page must find the
+//     record that undoes it. The mutate side may itself be a walsink.
 //
 //  3. Monotone LSN chains: an identifier assigned from an Append result
 //     goes stale as soon as a later Append runs; using a stale identifier
@@ -309,19 +310,19 @@ func (fw *walWalk) call(call *ast.CallExpr) {
 		return
 	}
 	key := funcKey(callee)
-	if fw.w.dirs.walsinks[key] {
-		if !fw.logged && !fw.waived(call.Pos()) {
-			fw.report(call.Pos(), "page store via %s before any wal append on this path — the log-before-data rule requires the covering record first; reorder, or waive with //bess:walorder ignore=<reason> for replay paths", key)
-		}
-		return
-	}
 	for _, pair := range fw.w.dirs.walcaptures {
 		if key == pair.capture {
 			fw.captured[pair.capture] = true
 		}
 		if key == pair.mutate && !fw.captured[pair.capture] && !fw.waived(call.Pos()) {
-			fw.report(call.Pos(), "call to %s without a preceding %s capture — open snapshots need the pre-update image staged before the overwrite begins", pair.mutate, pair.capture)
+			fw.report(call.Pos(), "call to %s without a preceding %s capture — the capture must record the change before the mutation lands", pair.mutate, pair.capture)
 		}
+	}
+	if fw.w.dirs.walsinks[key] {
+		if !fw.logged && !fw.waived(call.Pos()) {
+			fw.report(call.Pos(), "page store via %s before any wal append on this path — the log-before-data rule requires the covering record first; reorder, or waive with //bess:walorder ignore=<reason> for replay paths", key)
+		}
+		return
 	}
 	if fw.w.providesLog[callee] {
 		fw.logged = true

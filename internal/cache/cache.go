@@ -318,3 +318,13 @@ func (p *Pool) String() string {
 	return fmt.Sprintf("cache{slots=%d live=%d hits=%d misses=%d evictions=%d}",
 		len(p.slots), live, p.stats.Hits, p.stats.Misses, p.stats.Evictions)
 }
+
+// VStats is the snapshot-read counter pair Server.VersionStats reports. It
+// stays in this shape because the repository benchmark reads exactly these
+// two fields. Snapshot reads are served by WAL reconstruction alone, so
+// ChainHits is always 0 (there are no version chains), and Trimmed counts
+// snapshot fetches that read at least one WAL before-image.
+type VStats struct {
+	ChainHits int64
+	Trimmed   int64
+}

@@ -257,12 +257,6 @@ func (st *scanStream) pinnedFrames() int {
 	return n
 }
 
-// isNoHandler reports the dispatch error an old server returns for an
-// unknown method — the fallback trigger.
-func isNoHandler(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "no handler for method")
-}
-
 // isNoSegment matches server.ErrNoSegment across the wire (the client does
 // not import internal/server): a segment listed by SegmentsOf but dropped
 // before it could be read.
@@ -274,8 +268,8 @@ func isNoSegment(err error) bool {
 // fileID like Scan, but with the push-based streaming pipeline: the server
 // pushes segment images ahead of the cursor and the iterator consumes them
 // from local prefetched frames, so a cold full-file scan needs one round
-// trip total instead of two per segment. Falls back to the pull path on
-// non-RPC connections and on servers that predate the scan protocol.
+// trip total instead of two per segment. In-process connections (no RPC
+// peer to push over) take the pull path.
 func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle.Object) error) error {
 	if s.remote == nil {
 		return s.Scan(fileID, fn)
@@ -298,9 +292,6 @@ func (s *Session) StreamScan(fileID uint32, fn func(addr vmem.Addr, obj *swizzle
 		scanID, plan, err = s.remote.scanStart(s.client, s.db, fileID, uint32(s.scanBatch))
 	}
 	if err != nil {
-		if isNoHandler(err) {
-			return s.Scan(fileID, fn)
-		}
 		return err
 	}
 	// Pool of 2x the window: the window bounds undelivered bytes, and the

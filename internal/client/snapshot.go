@@ -71,8 +71,8 @@ func (s *Session) BeginSnapshot() error {
 	return nil
 }
 
-// EndSnapshot closes the snapshot: the server unpins the stamp (releasing
-// retained versions), and every as-of image plus every copy revoked during
+// EndSnapshot closes the snapshot: the server unpins the stamp (pruning
+// the as-of index entries only it needed), and every as-of image plus every copy revoked during
 // the snapshot is dropped — the version boundary at which invalidations
 // take effect.
 func (s *Session) EndSnapshot() error {

@@ -114,36 +114,6 @@ func TestStreamScanVisitsAll(t *testing.T) {
 	})
 }
 
-// TestStreamScanFallback checks the pull-path fallback against a server
-// that predates the scan protocol.
-func TestStreamScanFallback(t *testing.T) {
-	srv := server.NewMem(1)
-	defer srv.Close()
-	cEnd, sEnd := rpc.Pipe()
-	server.ServePeer(srv, sEnd)
-	// Simulate an old server: ScanStart answers with the exact dispatch
-	// error an unregistered method produces.
-	sEnd.Handle("ScanStart", func([]byte) ([]byte, error) {
-		return nil, errors.New("rpc: no handler for method: ScanStart")
-	})
-	r := NewRemote(cEnd)
-	s, err := Open(r, "old", "testdb", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fileID, nSegs, objsPer = 3, 4, 10
-	populateScanFile(t, s, fileID, nSegs, objsPer, 256)
-	s.DropAllCached()
-	before := r.Calls()
-	if n := countStreamScan(t, s, fileID); n != nSegs*objsPer {
-		t.Fatalf("visited %d objects, want %d", n, nSegs*objsPer)
-	}
-	// The pull path pays per-segment round trips — proof it was taken.
-	if calls := r.Calls() - before; calls < int64(nSegs) {
-		t.Fatalf("fallback scan issued only %d RPCs, expected per-segment traffic", calls)
-	}
-}
-
 // TestStreamScanCancelMidStream aborts from the visitor callback and checks
 // nothing leaks: no pinned frames, and the server cursor goroutine exits.
 func TestStreamScanCancelMidStream(t *testing.T) {

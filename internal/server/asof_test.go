@@ -138,7 +138,7 @@ func TestAsOfSegmentReuseUnderSnapshot(t *testing.T) {
 
 	// A snapshot opened after the creation sees the initial image, and
 	// keeps seeing it across a commit, while the older one still sees no
-	// segment (now through the version chain).
+	// segment.
 	initial := fetchImage(t, s, key)
 	after, _, err := s.SnapOpen(cl)
 	if err != nil {
@@ -564,4 +564,93 @@ func TestAsOfDifferential(t *testing.T) {
 		}
 	}
 	assertAsOfDrained(t, s)
+}
+
+// TestAsOfInDoubtBranch: after a restart adopts an in-doubt 2PC branch,
+// its after-images are on disk but not committed, so a snapshot opened
+// before the decision must read past them to the last committed image.
+func TestAsOfInDoubtBranch(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := s1.OpenDB("d", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _ := s1.Hello("w")
+	key, img := mkSegImage(t, s1, db, []byte("v1......"))
+	tx1, _ := s1.NewTx()
+	if err := s1.Lock(cl, tx1, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Commit(cl, tx1, []proto.SegImage{img}); err != nil {
+		t.Fatal(err)
+	}
+	tx2, _ := s1.NewTx()
+	if err := s1.Lock(cl, tx2, key, proto.LockX); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Prepare(cl, tx2, []proto.SegImage{overwriteImage(t, s1, key, []byte("v3......"))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	cl, _ = s2.Hello("r")
+	snap, _, err := s2.SnapOpen(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapObject(t, s2, cl, snap, key); !bytes.Equal(got, []byte("v1......")) {
+		t.Fatalf("snapshot read past an in-doubt branch = %q, want v1", got)
+	}
+	// The decision changes nothing for the open snapshot.
+	if err := s2.Decide(tx2, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapObject(t, s2, cl, snap, key); !bytes.Equal(got, []byte("v1......")) {
+		t.Fatalf("snapshot read after the commit decision = %q, want v1", got)
+	}
+	if err := s2.SnapClose(cl, snap); err != nil {
+		t.Fatal(err)
+	}
+	assertAsOfDrained(t, s2)
+}
+
+// TestAsOfCorruptSlotted: rot on a slotted page reaches a snapshot reader
+// as a checksum error, counted as a corruption, not as a missing segment.
+func TestAsOfCorruptSlotted(t *testing.T) {
+	s := NewMem(1)
+	defer s.Close()
+	db, _, _ := s.OpenDB("d", true)
+	key := commitOne(t, s, db, []byte("rots under a snapshot"))
+	cl, _ := s.Hello("r")
+	snap, _, err := s.SnapOpen(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.ScrubStatus().CorruptionsFound
+	flipPageByte(t, s, key.Area, page.No(key.Start), segment.HeaderSize+3)
+	_, _, _, err = s.SnapFetchSeg(cl, snap, key)
+	if !errors.Is(err, segment.ErrChecksum) || errors.Is(err, ErrNoSegment) {
+		t.Fatalf("snapshot read of a rotted slotted page: err = %v, want a checksum error", err)
+	}
+	var ce *page.CorruptError
+	if !errors.As(err, &ce) || ce.Area != page.AreaID(key.Area) || ce.Page != page.No(key.Start) {
+		t.Fatalf("corruption not located at the segment's slotted page: %v", err)
+	}
+	if got := s.ScrubStatus().CorruptionsFound; got != before+1 {
+		t.Fatalf("corruptions counted = %d, want %d", got, before+1)
+	}
+	if err := s.SnapClose(cl, snap); err != nil {
+		t.Fatal(err)
+	}
 }

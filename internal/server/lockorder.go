@@ -25,26 +25,22 @@
 // hierarchy exists so that any future nesting some PR introduces is forced
 // into one deadlock-free direction and mechanically verified.
 //
-//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Server.clientMu < Server.copyMu < Server.snapMu < txShard.mu < catalog.mu < asOfIndex.mu < VersionStore.mu < Log.mu
+//bess:lockorder Peer.mu < Peer.wmu < Server.areaMu < Server.clientMu < Server.copyMu < Server.snapMu < txShard.mu < catalog.mu < asOfIndex.mu < Log.mu
 package server
 
 import "bess/internal/lockcheck"
 
 // Runtime ranks mirroring the //bess:lockorder directive above. Lower rank
 // = acquired earlier (outermost). Log.mu's rank lives in the wal package
-// (wal.RankLogMu), VersionStore.mu's in the cache package
-// (cache.RankVersionStoreMu), and the Peer ranks in the rpc package
-// (rankPeerMu, rankPeerWmu) because none of those can import server;
-// bess-vet's self-test keeps the files consistent with the directive.
+// (wal.RankLogMu) and the Peer ranks in the rpc package (rankPeerMu,
+// rankPeerWmu) because neither can import server; bess-vet's self-test
+// keeps the files consistent with the directive.
 //
 // The two multiversion locks rank where their real nesting demands:
 // Server.snapMu sits outside the tx shards (Disconnect closes a client's
-// snapshots before aborting its transactions), and VersionStore.mu sits
-// innermost but for Log.mu — commit hooks publish staged versions while
-// the committing transaction still holds everything else. asOfIndex.mu
-// sits between the catalog and the version store: reconstruction and the
-// commit path take it alone, and under it only the tx manager's unranked
-// clock mutex.
+// snapshots before aborting its transactions), and asOfIndex.mu sits
+// innermost but for Log.mu: reconstruction and the commit path take it
+// alone, and under it only the tx manager's unranked clock mutex.
 const (
 	rankAreaMu   lockcheck.Rank = 10
 	rankClientMu lockcheck.Rank = 20

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"bess/internal/area"
-	"bess/internal/cache"
 	"bess/internal/hooks"
 	"bess/internal/lock"
 	"bess/internal/lockcheck"
@@ -144,7 +143,6 @@ type Server struct {
 	log   *wal.Log
 	locks *lock.Manager
 	txm   *tx.Manager
-	vs    *cache.VersionStore
 	asof  *asOfIndex
 	hk    *hooks.Registry
 
@@ -153,7 +151,7 @@ type Server struct {
 	stats struct {
 		messages, slottedFetches, dataFetches, largeFetches atomic.Int64
 		commits, aborts, callbacks, refusals, pagesWritten  atomic.Int64
-		snapFetches, asOfRecords                            atomic.Int64
+		snapFetches, asOfRecords, walRebuilds               atomic.Int64
 	}
 
 	// CallbackTimeout bounds revocation waits (paper: timeouts detect
@@ -202,9 +200,9 @@ func OpenMedia(m Media, host uint16) (*Server, error) {
 	s.log = log
 	s.media = &m
 	// Rebind the managers to the real log (open("") wired a throwaway
-	// in-memory one), and the as-of sources to the new tx manager.
+	// in-memory one), and the as-of index to the new tx manager.
 	s.txm = tx.NewManager(s.log, s.locks, s, s.hk)
-	s.wireVersions()
+	s.wireAsOf()
 	return s, nil
 }
 
@@ -266,7 +264,7 @@ func open(dir string, host uint16) (*Server, error) {
 	s.snapMu.Init("Server.snapMu", rankSnapMu)
 	s.snapshots = make(map[uint64]*snapEntry)
 	s.born = make(map[proto.SegKey]uint64)
-	s.wireVersions()
+	s.wireAsOf()
 	// Adopted in-doubt branches keep their after-images on disk until the
 	// decision: snapshots must reconstruct past them.
 	if err := s.asof.reindexPrepared(s.log, inDoubt); err != nil {
@@ -276,16 +274,10 @@ func open(dir string, host uint16) (*Server, error) {
 	return s, nil
 }
 
-// wireVersions attaches the as-of sources (DESIGN.md §7) to the current tx
-// manager: the version store, which retains superseded segment images
-// while snapshots are open and is trimmed at the oldest-snapshot
-// watermark, and the as-of index over the WAL. Both are fed by the commit
-// and abort hooks. The version clock restarts above every logged commit.
-func (s *Server) wireVersions() {
-	if s.vs != nil {
-		s.vs.Close() // the throwaway store OpenMedia replaces
-	}
-	s.vs = cache.NewVersionStore(s.txm.OldestSnapshot)
+// wireAsOf attaches the as-of index over the WAL (DESIGN.md §7) to
+// the current tx manager, fed by the commit and abort hooks. The version
+// clock restarts above every logged commit.
+func (s *Server) wireAsOf() {
 	s.asof = newAsOfIndex(s.txm)
 	s.txm.SetCommitHook(s.onCommit)
 	s.txm.SetAbortHook(s.onAbort)
@@ -294,17 +286,15 @@ func (s *Server) wireVersions() {
 	}
 }
 
-// onCommit publishes txID's commit at lsn to both as-of sources. It runs
-// from the tx commit hook, before the writer's locks release.
+// onCommit publishes txID's commit at lsn to the as-of index. It runs from
+// the tx commit hook, before the writer's locks release.
 func (s *Server) onCommit(txID uint64, lsn page.LSN) {
-	s.vs.CommitTx(txID, lsn)
 	s.asof.committed(txID, lsn)
 }
 
-// onAbort retires txID from both as-of sources once its undo is done (or
-// its commit failed). The log tail marks when the rollback finished.
+// onAbort retires txID from the as-of index once its undo is done (or its
+// commit failed). The log tail marks when the rollback finished.
 func (s *Server) onAbort(txID uint64) {
-	s.vs.AbortTx(txID)
 	s.asof.rolledBack(txID, s.log.NextLSN())
 }
 
@@ -373,15 +363,15 @@ func (s *Server) ReadPage(id page.ID, buf []byte) error {
 // page-store choke point for logged mutations — must be dominated on its
 // path by a WAL append (directly, or through a callee like tx.Tx.LogUpdate
 // whose call-graph summary proves one), and every call to
-// Server.logAndApply must be preceded in the same function by a
-// VersionStore.StageUpdate capture, so open snapshots always see the
-// pre-update image staged before the first page of the overwrite lands.
+// Server.WritePage must be preceded in the same function by an
+// asOfIndex.add of the record it applies: a snapshot reconstruction that
+// read the new page must find the record whose before-image undoes it.
 // The walcheck build tag enforces the same log-before-data contract at
 // runtime (internal/walcheck).
 //
 //bess:walorder
 //bess:walsink Server.WritePage
-//bess:walorder capture=VersionStore.StageUpdate mutate=Server.logAndApply
+//bess:walorder capture=asOfIndex.add mutate=Server.WritePage
 
 // WritePage implements wal.Pager. This is the page-store choke point for
 // every logged mutation: under `-tags walcheck` the store asserts that a
@@ -970,23 +960,10 @@ func (s *Server) applyOne(t *tx.Tx, si proto.SegImage) error {
 	if err != nil {
 		return fmt.Errorf("server: commit image: %w", err)
 	}
-	cur, curImg, curOver, err := s.readSeg(si.Seg)
+	cur, _, _, err := s.readSeg(si.Seg)
 	if err != nil {
 		return err
 	}
-	// Stage the update with the version store before any page is
-	// overwritten: snapshot reads of this segment wait out the overwrite
-	// window, and with a snapshot open the pre-update image is captured for
-	// its chain (data section read only when the copy will actually happen).
-	capture := s.txm.SnapshotCount() > 0
-	var curData []byte
-	if capture {
-		if curData, err = s.readDataVerified(si.Seg, cur); err != nil {
-			return err
-		}
-	}
-	s.vs.StageUpdate(t.ID(), vkeyOf(si.Seg),
-		cache.VImage{Slotted: curImg, Overflow: curOver, Data: curData}, capture)
 	// Grown data segment? Allocate a fresh run and point the header at it
 	// — on-the-fly relocation; existing references are unaffected because
 	// they name slots.
@@ -1299,24 +1276,11 @@ func (s *Server) CreateLarge(client uint32, txid uint64, seg proto.SegKey, typ u
 	if err := s.revokeCopies(seg, client); err != nil {
 		return 0, err
 	}
-	dec, curImg, curOver, err := s.readSeg(seg)
+	dec, _, _, err := s.readSeg(seg)
 	if err != nil {
 		return 0, err
 	}
 	sm, _, _ := s.cat.segMetaOf(seg)
-	// Stage with the version store before any page of seg is overwritten,
-	// exactly as applyOne does for commit images: without this, an open
-	// snapshot's Recheck passes (the stamp never advanced) while the
-	// descriptor pages change underneath it — a torn as-of read.
-	capture := s.txm.SnapshotCount() > 0
-	var curData []byte
-	if capture {
-		if curData, err = s.readDataVerified(seg, dec); err != nil {
-			return 0, err
-		}
-	}
-	s.vs.StageUpdate(t.ID(), vkeyOf(seg),
-		cache.VImage{Slotted: curImg, Overflow: curOver, Data: curData}, capture)
 	// Store the content in its own run.
 	a, aid, err := s.areaForAlloc(seg.Area)
 	if err != nil {
@@ -1548,7 +1512,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.StopScrub()
-	s.vs.Close()
 	s.areaMu.RLock()
 	areas := make([]*area.Area, 0, len(s.areas))
 	for _, a := range s.areas {

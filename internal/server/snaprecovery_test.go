@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"bess/internal/goleak"
 	"bess/internal/proto"
@@ -57,8 +56,8 @@ func snapObject(t *testing.T, s *Server, client uint32, snap uint64, key proto.S
 // stack: the server goes down with a snapshot open and a commit caught
 // mid-flight (phase 1 done — images logged and stolen to disk — decision
 // pending), restart recovery must come up clean, the in-doubt branch must
-// resolve, and fresh snapshots — including the watermark GC behind them —
-// must work as if the crash never happened.
+// resolve, and fresh snapshots — including the as-of index pruning behind
+// them — must work as if the crash never happened.
 func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir, 1)
@@ -83,8 +82,8 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite while the snapshot is open: v1 must be captured on the
-	// version chain and keep serving the snapshot.
+	// Overwrite while the snapshot is open: v1 must keep serving the
+	// snapshot, rebuilt from the WAL before-images the as-of index names.
 	tx2, _ := s1.NewTx()
 	if err := s1.Lock(cl, tx2, key, proto.LockX); err != nil {
 		t.Fatal(err)
@@ -92,11 +91,12 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	if err := s1.Commit(cl, tx2, []proto.SegImage{overwriteImage(t, s1, key, []byte("v2......"))}); err != nil {
 		t.Fatal(err)
 	}
+	recsBefore := s1.Snapshot().AsOfRecordsRead
 	if got := snapObject(t, s1, cl, snap1, key); !bytes.Equal(got, []byte("v1......")) {
 		t.Fatalf("pre-crash snapshot read = %q, want v1", got)
 	}
-	if s1.VersionStats().ChainHits == 0 {
-		t.Fatal("pre-crash snapshot read bypassed the version chain")
+	if s1.Snapshot().AsOfRecordsRead == recsBefore {
+		t.Fatal("pre-crash snapshot read used no WAL before-image")
 	}
 
 	// The mid-flight commit: phase 1 logs and steals the v3 image, then the
@@ -137,8 +137,8 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	}
 
 	// The version clock restarted above every pre-crash commit: a new commit
-	// under the open snapshot must capture a version, and closing the
-	// snapshot must let the restarted watermark GC drain the chain.
+	// under the open snapshot must be indexed, and closing the snapshot must
+	// prune the index empty.
 	tx4, _ := s2.NewTx()
 	if err := s2.Lock(cl, tx4, key, proto.LockX); err != nil {
 		t.Fatal(err)
@@ -149,25 +149,20 @@ func TestRecoveryWithOpenSnapshots(t *testing.T) {
 	if got := snapObject(t, s2, cl, snap2, key); !bytes.Equal(got, []byte("v2......")) {
 		t.Fatalf("post-recovery snapshot read after commit = %q, want v2", got)
 	}
-	if s2.VersionStats().Entries == 0 {
-		t.Fatal("commit under an open snapshot retained no version")
+	if asOfLen(s2) == 0 {
+		t.Fatal("commit under an open snapshot left no as-of index entry")
 	}
 	if err := s2.SnapClose(cl, snap2); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for s2.VersionStats().Entries != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("watermark GC never drained the chain: %d entries retained",
-				s2.VersionStats().Entries)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if n := asOfLen(s2); n != 0 {
+		t.Fatalf("as-of index kept %d entries after the last snapshot closed", n)
 	}
 
-	// Both servers are down: the GC goroutines must be gone with them.
+	// Both servers are down: their goroutines must be gone with them.
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 = nil
-	goleak.Check(t, "cache.")
+	goleak.Check(t, "server.")
 }

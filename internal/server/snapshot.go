@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 
@@ -24,10 +25,6 @@ type snapEntry struct {
 	client uint32
 }
 
-func vkeyOf(seg proto.SegKey) cache.VKey {
-	return cache.VKey{Area: seg.Area, Start: seg.Start}
-}
-
 // publishSnapsLocked copies the registry and publishes the copy for
 // lock-free readers. Called with snapMu held; the published map is never
 // mutated again.
@@ -47,11 +44,11 @@ func (s *Server) publishBornLocked() {
 }
 
 // noteCreated records that seg was created after every snapshot opened so
-// far. CreateSegment writes its initial pages without logging, so neither
-// the version chains nor the WAL can tell an older snapshot the segment
-// did not exist yet; this record does. Stamps cannot order the two — no
-// commit need fall between a snapshot and a creation — so the record holds
-// the newest snapshot id issued instead. Nothing is recorded while no
+// far. CreateSegment writes its initial pages without logging, so the WAL
+// cannot tell an older snapshot the segment did not exist yet; this record
+// does. Stamps cannot order the two — no commit need fall between a
+// snapshot and a creation — so the record holds the newest snapshot id
+// issued instead. Nothing is recorded while no
 // snapshot is open: every later snapshot postdates the segment.
 func (s *Server) noteCreated(seg proto.SegKey) {
 	s.snapMu.Lock()
@@ -79,8 +76,8 @@ func (s *Server) SnapOpen(client uint32) (uint64, uint64, error) {
 	return sn.ID(), uint64(sn.Stamp()), nil
 }
 
-// SnapClose implements proto.Conn: release a snapshot and trim versions it
-// alone was retaining.
+// SnapClose implements proto.Conn: release a snapshot and prune the as-of
+// index entries it alone was retaining.
 func (s *Server) SnapClose(client uint32, snap uint64) error {
 	s.stats.messages.Add(1)
 	s.snapMu.Lock()
@@ -139,13 +136,12 @@ func (s *Server) retireSnapsLocked() {
 	}
 }
 
-// releaseSnaps unpins closed snapshots and trims what only they retained:
-// chain versions and as-of index entries.
+// releaseSnaps unpins closed snapshots and prunes the as-of index entries
+// only they could select.
 func (s *Server) releaseSnaps(doomed []*snapEntry) {
 	for _, e := range doomed {
 		e.snap.Close()
 	}
-	s.vs.Trim()
 	s.asof.sweep()
 }
 
@@ -182,11 +178,8 @@ func (s *Server) SnapFetchSeg(client uint32, snap uint64, seg proto.SegKey) ([]b
 }
 
 // readAsOf serves seg's image as of snapshot e: ErrNoSegment when seg was
-// created after e opened, else a retained chain version, the current disk
-// image when the segment is unchanged since e's stamp (verified against
-// concurrent overwrites), or a WAL reconstruction. On the hot outcomes it
-// allocates nothing: chain images are served as-is and the disk read
-// reuses the fetch path's buffers.
+// created after e opened, else its WAL reconstruction at e's stamp (a
+// segment unchanged since then is read from disk as is).
 //
 //bess:hotpath
 func (s *Server) readAsOf(seg proto.SegKey, e *snapEntry) ([]byte, []byte, []byte, error) {
@@ -196,46 +189,8 @@ func (s *Server) readAsOf(seg proto.SegKey, e *snapEntry) ([]byte, []byte, []byt
 			return nil, nil, nil, ErrNoSegment
 		}
 	}
-	t := e.snap.Stamp()
-	key := vkeyOf(seg)
-	for {
-		//bess:lockfree ignore=version-store latch only: AsOf pins a chain entry under VersionStore.mu, never the lock manager; it blocks only on a committing writer's page-copy window
-		v, err := s.vs.AsOf(key, t)
-		if err != nil {
-			// Chain trimmed (or version never captured): rebuild from WAL
-			// before-images.
-			//bess:lockfree ignore=WAL fallback for trimmed chains: each page lookup takes asOfIndex.mu alone (plus the catalog and area page latches); one log record is read per reconstructed page, outside any latch
-			return s.reconstructAsOf(seg, t)
-		}
-		if v != nil {
-			// Chain images are immutable after capture (StageUpdate clones
-			// them once), so the sections are returned as-is: the reply
-			// encoder only reads them, and three per-fetch clones off the
-			// hot snapshot path are pure waste. Release only unpins the
-			// entry; the GC drops the chain reference and the bytes stay
-			// alive for as long as this reply needs them.
-			sl, ov, data := v.Img.Slotted, v.Img.Overflow, v.Img.Data
-			//bess:lockfree ignore=version-store latch only: Release unpins under VersionStore.mu and returns
-			s.vs.Release(v)
-			return sl, ov, data, nil
-		}
-		// Disk image verdict: read it, then confirm no update staged or
-		// committed underneath the read.
-		//bess:lockfree ignore=disk read under the area's short page latches; the lock manager is never consulted
-		dec, img, over, err := s.readSeg(seg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		//bess:lockfree ignore=disk read under the area's short page latches; the lock manager is never consulted
-		data, err := s.readData(dec)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		//bess:lockfree ignore=version-store latch only: Recheck compares the stamp under VersionStore.mu and returns
-		if s.vs.Recheck(key, t) {
-			return img, over, data, nil
-		}
-	}
+	//bess:lockfree ignore=each page lookup takes asOfIndex.mu alone (plus the catalog and area page latches); one log record is read per reconstructed page, outside any latch
+	return s.reconstructAsOf(seg, e.snap.Stamp())
 }
 
 // reconstructAsOf rebuilds seg's image at stamp t from the WAL. Each page
@@ -246,6 +201,10 @@ func (s *Server) readAsOf(seg proto.SegKey, e *snapEntry) ([]byte, []byte, []byt
 // is exact. Reading the page before the lookup is what makes it safe
 // against a concurrent writer: the writer indexed its record before
 // writing the page, so whatever the read saw is covered.
+//
+// A slotted image that fails its checksum is reported as the corruption it
+// is, not as a missing segment. Repair is left to the locked read paths
+// and the scrubber: this path stays lock-free.
 func (s *Server) reconstructAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, []byte, error) {
 	sm, _, ok := s.cat.segMetaOf(seg)
 	if !ok {
@@ -253,34 +212,49 @@ func (s *Server) reconstructAsOf(seg proto.SegKey, t page.LSN) ([]byte, []byte, 
 	}
 	// Slotted section first: its reconstructed header names the data and
 	// overflow runs as of t.
-	sl, err := s.runAsOf(page.AreaID(seg.Area), page.No(seg.Start), sm.SlottedPages, t)
+	sl, recs, err := s.runAsOf(page.AreaID(seg.Area), page.No(seg.Start), sm.SlottedPages, t)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	dec, err := segment.DecodeSlotted(sl)
 	if err != nil {
+		if corruptionIn(err) {
+			var ce *page.CorruptError
+			if errors.As(err, &ce) {
+				ce.Area, ce.Page = page.AreaID(seg.Area), page.No(seg.Start)
+			}
+			s.scrubCtr.corruptions.Add(1)
+			return nil, nil, nil, err
+		}
 		return nil, nil, nil, fmt.Errorf("%w: no image at stamp %d", ErrNoSegment, t)
 	}
-	data, err := s.runAsOf(dec.Hdr.DataArea, dec.Hdr.DataStart, int(dec.Hdr.DataPages), t)
+	data, n, err := s.runAsOf(dec.Hdr.DataArea, dec.Hdr.DataStart, int(dec.Hdr.DataPages), t)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	recs += n
 	var over []byte
 	if dec.Hdr.OverPages > 0 {
-		if over, err = s.runAsOf(dec.Hdr.OverArea, dec.Hdr.OverStart, int(dec.Hdr.OverPages), t); err != nil {
+		if over, n, err = s.runAsOf(dec.Hdr.OverArea, dec.Hdr.OverStart, int(dec.Hdr.OverPages), t); err != nil {
 			return nil, nil, nil, err
 		}
+		recs += n
+	}
+	if recs > 0 {
+		s.stats.asOfRecords.Add(int64(recs))
+		s.stats.walRebuilds.Add(1)
 	}
 	return sl, over, data, nil
 }
 
 // runAsOf returns the n-page run at area/start as of stamp t: all pages are
-// read first, then each page with an as-of before-image is replaced by it.
-func (s *Server) runAsOf(areaID page.AreaID, start page.No, n int, t page.LSN) ([]byte, error) {
-	buf := make([]byte, n*page.Size)
+// read first, then each page with an as-of before-image is replaced by it,
+// read from one log record; recs counts the records read.
+func (s *Server) runAsOf(areaID page.AreaID, start page.No, n int, t page.LSN) (buf []byte, recs int, err error) {
+	buf = make([]byte, n*page.Size)
 	for i := 0; i < n; i++ {
 		if err := s.ReadPage(page.ID{Area: areaID, Page: start + page.No(i)}, buf[i*page.Size:(i+1)*page.Size]); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -292,26 +266,29 @@ func (s *Server) runAsOf(areaID page.AreaID, start page.No, n int, t page.LSN) (
 		// The record may still sit in the log buffer (an in-flight
 		// writer's update); force through it so ReadRecord sees it.
 		if err := s.log.Flush(lsn); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		rec, err := s.log.ReadRecord(lsn)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		s.stats.asOfRecords.Add(1)
 		if rec.Type != wal.TUpdate || rec.Page != pid || rec.Off != 0 {
-			return nil, fmt.Errorf("server: as-of reconstruction: record at %d is not a full-page update of %v", lsn, pid)
+			return nil, 0, fmt.Errorf("server: as-of reconstruction: record at %d is not a full-page update of %v", lsn, pid)
 		}
 		dst := buf[i*page.Size : (i+1)*page.Size]
 		for j := copy(dst, rec.Before); j < len(dst); j++ {
 			dst[j] = 0
 		}
+		recs++
 	}
-	return buf, nil
+	return buf, recs, nil
 }
 
-// VersionStats exposes the version store's counters (tests, benches).
-func (s *Server) VersionStats() cache.VStats { return s.vs.VersionStats() }
+// VersionStats reports snapshot-read counters in the shape the repository
+// benchmark reads (cache.VStats).
+func (s *Server) VersionStats() cache.VStats {
+	return cache.VStats{Trimmed: s.stats.walRebuilds.Load()}
+}
 
 // LockStats exposes the lock manager's counters — the zero-locks assertion
 // for snapshot reads (E16) checks the Acquires delta across a read phase.

@@ -7,8 +7,8 @@ import "bess/internal/page"
 // timestamp — every committed transaction's TCommit LSN stamps the images it
 // produced, and a snapshot opened at stamp T observes exactly the
 // transactions whose commit LSN is ≤ T. Snapshots acquire zero locks and
-// therefore can neither block writers nor deadlock; the cost is version
-// retention, bounded by the watermark GC that OldestSnapshot drives.
+// therefore can neither block writers nor deadlock; the cost is as-of index
+// retention, pruned at the watermark OldestSnapshot reports.
 
 // SetCommitHook installs fn to run on every commit, after the commit record
 // is durable and before the transaction's locks release, with the
@@ -45,7 +45,7 @@ func (m *Manager) CommitStamp() page.LSN {
 	return m.commitStamp
 }
 
-// Snap is one open snapshot: a stamp pinned against version GC.
+// Snap is one open snapshot: a stamp pinned against as-of index pruning.
 type Snap struct {
 	m     *Manager
 	id    uint64
@@ -82,8 +82,9 @@ func (s *Snap) Close() {
 }
 
 // OldestSnapshot returns the smallest stamp of any open snapshot and true,
-// or (0, false) when none are open. This is the version-GC watermark: any
-// image superseded at or before the returned stamp is still reachable.
+// or (0, false) when none are open. This is the as-of index's pruning
+// watermark: no open snapshot can select an update whose transaction ended
+// at or before the returned stamp.
 func (m *Manager) OldestSnapshot() (page.LSN, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -98,11 +99,4 @@ func (m *Manager) OldestSnapshot() (page.LSN, bool) {
 		}
 	}
 	return min, true
-}
-
-// SnapshotCount returns the number of open snapshots.
-func (m *Manager) SnapshotCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.snaps)
 }

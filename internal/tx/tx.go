@@ -78,8 +78,8 @@ type Manager struct {
 	// Multiversion read support (DESIGN.md §7). commitHook/abortHook are set
 	// once at open time, before any transaction runs, and are read without
 	// m.mu thereafter. The commit hook runs after the commit record is
-	// durable but before locks release, so a version store can publish the
-	// committed images while the writer still excludes concurrent stagers.
+	// durable but before locks release, so the as-of index records the
+	// commit while the writer still excludes other writers of its pages.
 	commitHook func(txID uint64, commitLSN page.LSN)
 	abortHook  func(txID uint64)
 
@@ -263,10 +263,10 @@ func (t *Tx) Commit() error {
 	t.state = Committed
 	t.lastLSN = lsn
 	t.mu.Unlock()
-	// Version-store publication order: append the committed images to the
-	// version chains (hook) while this writer's X locks still exclude any
-	// concurrent stager of the same segments, then advance the version clock
-	// so new snapshots can observe them, then release locks.
+	// Publication order: record the commit in the as-of index (hook) while
+	// this writer's X locks still exclude other writers of the same pages,
+	// then advance the version clock so new snapshots can observe it, then
+	// release locks.
 	if h := t.m.commitHook; h != nil {
 		h(t.id, lsn)
 	}
